@@ -22,8 +22,8 @@ from repro.utils.units import fmt_bytes, fmt_seconds
 
 def main():
     # ------------------------------------------------------------------
-    # 1. Functional protocol: two in-memory parties extend a few hundred
-    #    PKC base OTs into thousands of COT correlations.
+    # 1. Functional protocol: two in-memory parties extend 128 PKC base
+    #    OTs (via IKNP, then Ferret) into thousands of COT correlations.
     # ------------------------------------------------------------------
     config = FerretConfig.small(scale=512, arity=4, prg_kind="chacha8")
     p = config.params

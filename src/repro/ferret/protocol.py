@@ -2,9 +2,11 @@
 
 One protocol instance lives through three phases (Section 2.3):
 
-1. **setup** -- runs once: PKC base OTs create ``k + c`` genuine COT
-   correlations (``k`` feeding LPN, ``c`` feeding SPCOT's per-level
-   OTs).  This is the "Init" bar of Figure 1(b).
+1. **setup** -- runs once: 128 PKC base OTs, with the roles swapped,
+   are extended by IKNP (:mod:`repro.ot.iknp`) into ``k + c`` genuine
+   COT correlations under the sender's Delta (``k`` feeding LPN, ``c``
+   feeding SPCOT's per-level OTs).  This is the "Init" bar of
+   Figure 1(b); its PKC part is constant in ``k + c``.
 2. **extend** -- repeatable: an interactive multi-point SPCOT produces
    ``w = v XOR u*Delta`` over n points, then both parties *locally*
    LPN-encode, stretching k correlations into n.  The first
@@ -32,6 +34,7 @@ from repro.lpn.matrix import generate_matrix
 from repro.ot.base_ot import base_cot_receive, base_cot_send
 from repro.ot.channel import Channel, run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
+from repro.ot.iknp import KAPPA, iknp_receive, iknp_send
 from repro.spcot.mpcot import mpcot_receive, mpcot_send, sample_alphas
 
 
@@ -67,9 +70,12 @@ class FerretSender:
         self.last_stats = None
 
     def setup(self, channel: Channel) -> None:
-        """One-time init: run PKC base OTs for the first iteration."""
+        """One-time init: 128 base OTs choosing with Delta's bits, then
+        IKNP to the ``k + c`` COTs the first iteration consumes."""
         cfg = self.config
-        r = base_cot_send(channel, cfg.base_cots_needed, self.delta, self.rng)
+        bits = np.unpackbits(blocks.to_uint8(self.delta)[0], bitorder="little")
+        y = base_cot_receive(channel, bits)
+        r = iknp_send(channel, CotReceiverBatch(bits, y), cfg.base_cots_needed).z
         self._lpn_r = r[: cfg.params.k]
         self._spcot_pool = CotPool(
             sender=CotSenderBatch(self.delta, r[cfg.params.k :])
@@ -132,10 +138,13 @@ class FerretReceiver:
         self.last_stats = None
 
     def setup(self, channel: Channel) -> None:
-        """One-time init, mirror of the sender's."""
+        """One-time init, mirror of the sender's: send 128 base OTs
+        under a fresh Delta_k, then IKNP-receive ``k + c`` COTs."""
         cfg = self.config
         bits = self.rng.integers(0, 2, cfg.base_cots_needed).astype(np.uint8)
-        y = base_cot_receive(channel, bits)
+        delta_k = blocks.random_blocks(1, self.rng)
+        r = base_cot_send(channel, KAPPA, delta_k, self.rng)
+        y = iknp_receive(channel, CotSenderBatch(delta_k, r), bits).y
         self._lpn_e = bits[: cfg.params.k]
         self._lpn_s = y[: cfg.params.k]
         self._spcot_pool = CotPool(

@@ -2,14 +2,16 @@
 
 Implements the simplest-OT flavour of Chou-Orlandi over a Schnorr
 group: one group element from the sender, one per choice from the
-receiver, and hashed Diffie-Hellman values as message keys.  PCG-style
-OTE consumes a few hundred of these once, then extends them forever
-(Section 2.3), which is why the paper's Figure 1(b) shows "Init" as a
-fixed cost.
+receiver, and hashed Diffie-Hellman values as message keys.  Ferret's
+Init runs a constant 128 of these per endpoint and extends them with
+IKNP (:mod:`repro.ot.iknp`) to the ``k + c`` base correlations it
+needs; PCG-style OTE then extends those forever (Section 2.3), which
+is why the paper's Figure 1(b) shows "Init" as a small fixed cost.
 
-This module also provides :func:`base_cot`, the delta-correlated
-variant the Ferret setup needs: the sender's two messages are
-``(r, r XOR Delta)``, giving the receiver a COT ``(b, r XOR b*Delta)``.
+This module also provides :func:`base_cot_send` /
+:func:`base_cot_receive`, the delta-correlated variant: the sender's
+two messages are ``(r, r XOR Delta)``, giving the receiver a COT
+``(b, r XOR b*Delta)``.
 
 Two wire schedules produce identical outputs:
 
@@ -24,19 +26,25 @@ Two wire schedules produce identical outputs:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.aes import AES128
 from repro.crypto.group import DEFAULT_GROUP, SchnorrGroup
 from repro.errors import ProtocolError
 from repro.ot.channel import Channel
 
 
 def _mask(key16: bytes, message: np.ndarray, index: int) -> np.ndarray:
-    """One-time mask a single block with a key derived from DH + index."""
-    pad = AES128(key16).encrypt_blocks(blocks.single(index, 0x6261736F74))
-    return blocks.xor(message, pad)
+    """One-time mask a single block with a pad derived from DH + index.
+
+    ``key16`` is already a SHA-256 KDF output of the DH value, so the
+    pad is one more hash, ``SHA-256(key16 || index)[:16]``, rather than
+    a fresh AES key schedule per OT.
+    """
+    pad = hashlib.sha256(key16 + index.to_bytes(8, "little")).digest()[:16]
+    return blocks.xor(message, blocks.from_bytes(pad))
 
 
 def _sender_payload_for(

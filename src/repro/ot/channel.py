@@ -132,6 +132,10 @@ class Channel:
 #: enough that a deadlocked protocol fails loudly.
 DEFAULT_RECV_TIMEOUT = 60.0
 
+#: Inbox marker left by :meth:`LocalChannel.close` (never a real payload:
+#: payloads are ``bytes``).
+_CLOSED = object()
+
 
 class LocalChannel(Channel):
     """One endpoint of an in-memory duplex pair (thread-safe).
@@ -170,8 +174,17 @@ class LocalChannel(Channel):
             data = self._inbox.get(timeout=timeout)
         except queue.Empty as exc:
             raise ChannelTimeout("recv timed out; is the peer still running?") from exc
+        if data is _CLOSED:
+            self._inbox.put(_CLOSED)  # stay poisoned for later receives
+            raise ChannelClosed("peer closed the channel")
         self.stats.record_recv(len(data))
         return data
+
+    def close(self) -> None:
+        """Hang up: the peer's pending and later receives raise
+        :class:`ChannelClosed` at once (after any messages already
+        queued), as with a closed socket."""
+        self._outbox.put(_CLOSED)
 
 
 class SocketChannel(Channel):
@@ -371,10 +384,13 @@ def run_pair(
 
     Each callable receives its :class:`LocalChannel` endpoint and runs in
     its own thread; returns ``(result_a, result_b)``.  Exceptions on
-    either side are re-raised in the caller (wrapped in PartyError) so
-    test failures point at the faulting party.  ``timeout`` bounds the
-    whole execution; ``recv_timeout`` is each channel's blocking-receive
-    patience (raise both for paper-sized runs).
+    either side are re-raised in the caller (wrapped in PartyError, the
+    first failure's cause first) so test failures point at the faulting
+    party.  A failing party's endpoint is closed, so a peer blocked on it
+    fails with :class:`ChannelClosed` at once instead of timing out.
+    ``timeout`` bounds the whole execution; ``recv_timeout`` is each
+    channel's blocking-receive patience (raise both for paper-sized
+    runs).
     """
     chan_a, chan_b = LocalChannel.pair(timeout=recv_timeout)
     results = {}
@@ -385,6 +401,7 @@ def run_pair(
             results[name] = fn(chan)
         except BaseException as exc:  # noqa: BLE001 - must cross the thread
             errors[name] = exc
+            chan.close()
 
     t_a = threading.Thread(target=runner, args=("a", party_a, chan_a), daemon=True)
     t_b = threading.Thread(target=runner, args=("b", party_b, chan_b), daemon=True)

@@ -7,8 +7,8 @@ role-switching workload (bit triples, the ReLU multiplexer) needs OTs
 both ways -- and a worker thread that keeps typed pools above their
 low watermarks by running ``extend()`` and derived production while
 consumers draw.  This is the Figure 1(b) amortization realized as a
-long-lived runtime: the ~seconds base-OT Init runs once per direction,
-then extends stream correlations to any number of sessions.
+long-lived runtime: the Init (128 PKC base OTs + IKNP) runs once per
+direction, then extends stream correlations to any number of sessions.
 
 **Determinism.**  A correlation only works if both parties consume the
 same one, so all allocation decisions are made on party 0 (the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import blocks
-from repro.errors import ChannelError, ChannelTimeout
+from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
 from repro.ot.channel import LocalChannel, PartyError, run_pair
 
 
@@ -90,6 +90,17 @@ class TestLocalChannel:
             a.recv_bytes(timeout=0.05)
         assert time.monotonic() - start < 5.0
 
+    def test_close_delivers_queued_then_poisons_peer(self):
+        a, b = LocalChannel.pair(timeout=100.0)
+        a.send_bytes(b"last words")
+        a.close()
+        assert b.recv_bytes() == b"last words"
+        start = time.monotonic()
+        for _ in range(2):  # stays closed for every later receive
+            with pytest.raises(ChannelClosed):
+                b.recv_bytes()
+        assert time.monotonic() - start < 1.0
+
 
 class TestAccounting:
     def test_bytes_counted_both_sides(self):
@@ -159,6 +170,23 @@ class TestRunPair:
 
         with pytest.raises(PartyError, match="boom"):
             run_pair(fail, idle)
+
+    def test_failing_party_unblocks_its_peer(self):
+        """A raise on one side closes its endpoint: the peer's blocked
+        receive fails at once instead of waiting out its timeout, and the
+        first failure is the one reported."""
+
+        def fail(ch):
+            raise ValueError("boom")
+
+        def wait(ch):
+            return ch.recv_bytes()
+
+        start = time.monotonic()
+        with pytest.raises(PartyError, match="boom") as info:
+            run_pair(fail, wait, recv_timeout=60.0)
+        assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_recv_timeout_surfaced_through_run_pair(self):
         """run_pair(recv_timeout=...) reaches the channels, so paper-sized

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender, ferret_pair
 from repro.lpn.params import LpnParams, scaled_params
@@ -26,7 +26,7 @@ class TestConfig:
         assert cfg.arity == 4
 
     def test_rejects_non_power_arity(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="power of two"):
             FerretConfig(params=scaled_params(), arity=3)
 
     def test_base_cots_cover_lpn_and_spcot(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.crypto import blocks
 from repro.crypto.prg import ChaChaTreePrg
 from repro.errors import ParameterError
-from repro.ot.channel import run_pair
+from repro.ot.channel import PartyError, run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.mpcot import (
     block_sizes,
@@ -78,12 +78,16 @@ class TestProtocol:
             offset += size
 
     def test_alpha_out_of_block_rejected(self, cot_pools, delta, rng):
-        with pytest.raises(Exception):
+        with pytest.raises(PartyError) as info:
             run_mpcot(cot_pools, delta, rng, 40, 4, 4, np.array([0, 0, 0, 10]))
+        assert isinstance(info.value.__cause__, ParameterError)
+        assert "outside its block" in str(info.value.__cause__)
 
     def test_wrong_alpha_count_rejected(self, cot_pools, delta, rng):
-        with pytest.raises(Exception):
+        with pytest.raises(PartyError) as info:
             run_mpcot(cot_pools, delta, rng, 40, 4, 4, np.array([0, 0, 0]))
+        assert isinstance(info.value.__cause__, ParameterError)
+        assert "puncture positions" in str(info.value.__cause__)
 
     def test_binary_arity_variant(self, cot_pools, delta, rng):
         n, t = 30, 3

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import blocks
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
+from repro.errors import ParameterError
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.ggm import (
@@ -113,9 +114,9 @@ class TestBatchedGgm:
         assert np.array_equal(leaves, expect)
 
     def test_reconstructor_validates_digit_shape(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="digits must be"):
             BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 2)))
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="digits must lie"):
             BatchedPuncturedReconstructor(
                 ChaChaTreePrg(4), 2, np.full((2, 2), 7)
             )  # digit out of range

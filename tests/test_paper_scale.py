@@ -2,10 +2,10 @@
 suite via the ``slow`` marker; run explicitly with ``-m slow``.
 
 ROADMAP item: drive a Table 4 parameter set end-to-end.  The 2^20 row
-runs a real base-OT setup (~170k PKC OTs, tens of minutes in pure
-Python -- the exact Init cost Figure 1(b) amortizes) plus one extend
-through the provisioning service, then checks the COT invariant and the
-net-output accounting.
+runs a real Init (128 PKC OTs, extended by IKNP to the ~170k base COTs
+-- the fixed cost Figure 1(b) amortizes) plus one extend through the
+provisioning service, then checks the COT invariant and the net-output
+accounting.
 """
 
 import threading
