@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.aes import AES128
-from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS
-from repro.crypto.kernels import chacha_core
+from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS, chacha_core
 from repro.errors import ParameterError
 
 #: Blocks produced per ChaCha core invocation (512-bit output).

@@ -19,7 +19,6 @@ import threading
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.kernels import gather_xor_blocks
 from repro.errors import ParameterError
 from repro.lpn.matrix import LpnMatrix
 
@@ -35,9 +34,6 @@ def encode_blocks(matrix: LpnMatrix, vec: np.ndarray, addend: np.ndarray) -> np.
         raise ParameterError(f"input vector must have k={matrix.k} blocks")
     if addend.shape[0] != matrix.n:
         raise ParameterError(f"addend must have n={matrix.n} blocks")
-    fast = gather_xor_blocks(matrix.indices, vec, addend)
-    if fast is not None:  # compiled path (numba); bit-exact vs the loop below
-        return fast
     out = np.empty_like(addend)
     for start in range(0, matrix.n, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, matrix.n)

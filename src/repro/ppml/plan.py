@@ -26,17 +26,16 @@ from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, ServiceError, WaitTimeout
 from repro.mpc.compare import cots_needed, triples_needed
-from repro.mpc.matmul import MatmulDims, matmul_cots
+from repro.mpc.matmul import MatmulDims
 from repro.mpc.truncation import (
     FixedPointConfig,
     trunc_bit_triples,
     trunc_cots,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
     trunc_ring_triples,
 )
 from repro.ppml.layers import Conv2d, Graph, Linear
 from repro.runtime.pool import MatrixTriplePool, TruncPairPool
+from repro.runtime.recipes import COT_FWD, COT_REV, EITHER, MTRI, RTRI, TPRC, TRI, expand
 
 
 @dataclass
@@ -76,28 +75,22 @@ class CorrelationDemand:
     def matrix_triples(self) -> int:
         return sum(self.matrix.values())
 
-    def total_cots(self, ring_bits: int) -> int:
-        """All raw COTs behind this demand (consumer draws + derived).
+    def internal(self, bits: int) -> dict:
+        """Every input the derived part of this demand consumes while it
+        is produced (:func:`repro.runtime.recipes.expand`): raw COTs per
+        direction, ``cot/*`` for matrix triples (one direction, picked
+        at runtime), and the bit triples truncation pairs eat."""
+        items = [(TRI, (), self.bit_triples), (RTRI, (), self.ring_triples)]
+        items += [(MTRI, (d.m, d.k, d.n), count) for d, count in self.matrix.items()]
+        items += [(TPRC, (frac,), count) for frac, count in self.trunc_pairs.items()]
+        return expand(items, bits)
 
-        Bit triples cost one COT per direction, ring triples
-        ``ring_bits`` per direction, matrix triples ``matmul_cots``
-        from a single direction, truncation pairs their forward COTs
-        plus the bit triples their generation consumes.
-        """
-        derived = self.bit_triples * 2 + self.ring_triples * ring_bits * 2
-        derived += sum(
-            int(matmul_cots(dims, ring_bits)) * count
-            for dims, count in self.matrix.items()
+    def total_cots(self, ring_bits: int) -> int:
+        """All raw COTs behind this demand (consumer draws + derived)."""
+        inner = self.internal(ring_bits)
+        return self.cot_fwd + self.cot_rev + sum(
+            inner.get(kind, 0) for kind in (COT_FWD, COT_REV, EITHER)
         )
-        derived += sum(
-            (
-                trunc_pair_cots(ring_bits, frac)
-                + trunc_pair_bit_triples(ring_bits, frac) * 2
-            )
-            * count
-            for frac, count in self.trunc_pairs.items()
-        )
-        return self.cot_fwd + self.cot_rev + derived
 
     def as_pool_targets(self) -> dict:
         """Pool kind -> item count, the :meth:`CorrelationService.prefill`
@@ -219,54 +212,34 @@ def layer_demand(
 def _layer_produce_counts(demand: CorrelationDemand, bits: int) -> dict:
     """Pool production one layer's demand requires, per kind.
 
-    Consumer draws (``as_pool_targets``) plus the bit triples that this
-    layer's truncation-pair generation consumes *internally* -- the
-    derived-of-derived input the worker must have produced before the
-    TPRC batch can run.
+    Consumer draws (``as_pool_targets``) plus the derived inputs this
+    layer's production consumes *internally* -- the bit triples
+    truncation-pair generation eats, which the worker must have
+    produced before the TPRC batch can run.
     """
     counts = dict(demand.as_pool_targets())
-    internal_tri = sum(
-        count * trunc_pair_bit_triples(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    if internal_tri:
-        counts["tri"] = counts.get("tri", 0) + internal_tri
+    for kind, count in demand.internal(bits).items():
+        if not kind.startswith("cot/") and count:
+            counts[kind] = counts.get(kind, 0) + count
     return counts
 
 
 def _layer_internal_cots(demand: CorrelationDemand, bits: int) -> dict:
     """Raw COTs one layer's *derived production* reserves internally.
 
-    Bit triples (including the ones truncation-pair generation eats)
-    cost one COT per direction, ring triples ``bits`` per direction,
-    truncation pairs their forward COTs.  A matrix triple draws its
-    whole demand from ONE direction chosen by stock at runtime, so it
-    is charged to BOTH directions here -- conservative by at most one
-    layer's matrix demand in the unused direction, which the extend
-    batch quantum absorbs.  The pipeline adds this margin to the raw
-    COT watermark *before* scheduling the layer's derived production,
-    so internal reserves can never eat the stock that keeps already
-    ready layers' consumer draws warm.
+    A matrix triple draws its whole demand from ONE direction chosen by
+    stock at runtime, so it is charged to BOTH directions here --
+    conservative by at most one layer's matrix demand in the unused
+    direction, which the extend batch quantum absorbs.  The pipeline
+    adds this margin to the raw COT watermark *before* scheduling the
+    layer's derived production, so internal reserves can never eat the
+    stock that keeps already ready layers' consumer draws warm.
     """
-    tri = demand.bit_triples + sum(
-        count * trunc_pair_bit_triples(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    mtri = sum(
-        int(matmul_cots(dims, bits)) * count
-        for dims, count in demand.matrix.items()
-    )
-    fwd = tri + demand.ring_triples * bits + mtri + sum(
-        count * trunc_pair_cots(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    rev = tri + demand.ring_triples * bits + mtri
-    counts = {}
-    if fwd:
-        counts["cot/fwd"] = fwd
-    if rev:
-        counts["cot/rev"] = rev
-    return counts
+    inner = demand.internal(bits)
+    counts = {
+        kind: inner.get(kind, 0) + inner.get(EITHER, 0) for kind in (COT_FWD, COT_REV)
+    }
+    return {kind: count for kind, count in counts.items() if count}
 
 
 #: Column titles matching :meth:`PreprocessingPlan.summary_rows`.

@@ -77,8 +77,11 @@ class CorrelationPool:
     Subclasses fix the column layout and wrap take results in typed
     batches.  ``low_watermark`` is the produced-ahead level below which
     the pool asks the service for a refill; ``high_watermark`` is the
-    level the service tops up to.
+    level the service tops up to.  ``key_args`` are the arguments a
+    keyed pool's ``key_for`` built its name from (empty when unkeyed).
     """
+
+    key_args: tuple = ()
 
     def __init__(
         self,
@@ -593,6 +596,9 @@ class TriplePool(CorrelationPool):
         a, b, c = self.take_columns(lo, n, timeout)
         return BitTriples(a, b, c)
 
+    #: The typed take every recipe input pool offers (COT pools' name).
+    take_batch = take_triples
+
 
 class RingTriplePool(CorrelationPool):
     """Arithmetic (mod 2^bits) Beaver-triple shares (a, b, c)."""
@@ -624,25 +630,11 @@ class TruncPairPool(CorrelationPool):
         super().__init__(name, n_columns=2, **kwargs)
         self.bits = bits
         self.frac_bits = frac_bits
+        self.key_args = (frac_bits,)
 
     @staticmethod
     def key_for(frac_bits: int) -> str:
         return f"tprc/{frac_bits}"
-
-    @property
-    def cots_per_item(self) -> int:
-        """Forward COTs one pair consumes -- the canonical count from
-        :func:`repro.mpc.truncation.trunc_pair_cots`, shared with the
-        generator so the scheduler's reservations cannot drift."""
-        from repro.mpc.truncation import trunc_pair_cots
-
-        return trunc_pair_cots(self.bits, self.frac_bits)
-
-    @property
-    def triples_per_item(self) -> int:
-        from repro.mpc.truncation import trunc_pair_bit_triples
-
-        return trunc_pair_bit_triples(self.bits, self.frac_bits)
 
     def take_pairs(self, lo: int, n: int, timeout: float = None):
         from repro.mpc.truncation import TruncPairs
@@ -666,19 +658,11 @@ class MatrixTriplePool(CorrelationPool):
         super().__init__(name, n_columns=3, **kwargs)
         self.m, self.k, self.n = m, k, n
         self.bits = bits
+        self.key_args = (m, k, n)
 
     @staticmethod
     def key_for(m: int, k: int, n: int) -> str:
         return f"mtri/{m}x{k}x{n}"
-
-    @property
-    def cots_per_item(self) -> int:
-        """COTs one triple of this shape consumes -- the canonical
-        :func:`repro.mpc.matmul.matmul_cots` count, so the scheduler's
-        reservations can never drift from what the generator takes."""
-        from repro.mpc.matmul import MatmulDims, matmul_cots
-
-        return matmul_cots(MatmulDims(self.m, self.k, self.n), self.bits)
 
     def append_triple(self, triple) -> None:
         self.append_columns(

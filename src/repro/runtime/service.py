@@ -35,7 +35,6 @@ negative pool level is exactly the demand signal the leader tops up.
 from __future__ import annotations
 
 import json
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,6 +64,18 @@ from repro.ot.ot_from_cot import (
     ot_send_from_cot,
 )
 from repro.runtime.mux import MuxChannel
+from repro.runtime.recipes import (
+    COT_FWD,
+    COT_REV,
+    EXTEND,
+    OP_STOP,
+    RECIPES,
+    decode_frame,
+    encode_frame,
+    parse_command,
+    recipe_for,
+    resolve,
+)
 from repro.runtime.shard import ShardManager
 from repro.runtime.pool import (
     MatrixTriplePool,
@@ -77,28 +88,12 @@ from repro.runtime.pool import (
     TruncPairPool,
 )
 
-#: Control frame: 4-byte opcode + three u64 arguments (count, range
-#: offsets); meaning of the offsets depends on the opcode.
-_CTL = struct.Struct("<4sQQQ")
-
-#: Matrix-triple frame: opcode + (m, k, n, direction, cot offset).
-_CTL_MTRI = struct.Struct("<4sQQQQQ")
-
-#: Truncation-pair frame: opcode + (count, frac, cot offset, tri offset).
-_CTL_TPRC = struct.Struct("<4sQQQQ")
-
-OP_EXTEND_FWD = b"EXT0"
-OP_EXTEND_REV = b"EXT1"
-OP_TRIPLES = b"TRI\x00"
-OP_RING_TRIPLES = b"RTRI"
-OP_MATRIX_TRIPLE = b"MTRI"
-OP_TRUNC_PAIRS = b"TPRC"
-OP_ROT_FWD = b"ROT0"
-OP_ROT_REV = b"ROT1"
-OP_STOP = b"STOP"
+#: Extend opcode -> direction it extends.
+_EXTEND_DIR = {op: kind[4:] for kind, op in EXTEND.items()}
 #: Resync frames (variable length: opcode + JSON payload).  SYNC is the
 #: leader's recovery barrier, SACK the follower's reply, NACK the
-#: follower's prompt "my command execution failed" signal.
+#: follower's prompt "my command execution failed" signal.  Every other
+#: ``prov/ctl`` frame is laid out by :mod:`repro.runtime.recipes`.
 OP_SYNC = b"SYNC"
 OP_SYNC_ACK = b"SACK"
 OP_NACK = b"NACK"
@@ -247,53 +242,6 @@ class CorrelationService:
             else max(1, config.net_output * t.shards // 4)
         )
         cot_high = t.cot_high if t.cot_high is not None else config.net_output * t.shards
-        self.pools: dict = {}
-        if party == 0:
-            self.pools["cot/fwd"] = SenderCotPool(
-                "cot/fwd", self.ferret_fwd.delta,
-                low_watermark=cot_low, high_watermark=cot_high,
-            )
-            if t.enable_reverse:
-                self.pools["cot/rev"] = ReceiverCotPool(
-                    "cot/rev", low_watermark=cot_low, high_watermark=cot_high
-                )
-        else:
-            self.pools["cot/fwd"] = ReceiverCotPool(
-                "cot/fwd", low_watermark=cot_low, high_watermark=cot_high
-            )
-            if t.enable_reverse:
-                self.pools["cot/rev"] = SenderCotPool(
-                    "cot/rev", self.ferret_rev.delta,
-                    low_watermark=cot_low, high_watermark=cot_high,
-                )
-        if t.enable_triples:
-            if not t.enable_reverse:
-                raise ServiceError("triple production needs the reverse direction")
-            self.pools["tri"] = TriplePool(
-                "tri", low_watermark=t.triple_low, high_watermark=t.triple_high
-            )
-        self._enable_rtri = (
-            t.enable_ring_triples
-            if t.enable_ring_triples is not None
-            else t.enable_reverse
-        )
-        if self._enable_rtri:
-            if not t.enable_reverse:
-                raise ServiceError("ring-triple production needs the reverse direction")
-            self.pools["rtri"] = RingTriplePool(
-                "rtri", t.ring_bits,
-                low_watermark=t.rtri_low, high_watermark=t.rtri_high,
-            )
-        if t.enable_rots:
-            fwd_rot = RotSenderPool if party == 0 else RotReceiverPool
-            self.pools["rot/fwd"] = fwd_rot(
-                "rot/fwd", low_watermark=t.rot_low, high_watermark=t.rot_high
-            )
-            if t.enable_reverse:
-                rev_rot = RotReceiverPool if party == 0 else RotSenderPool
-                self.pools["rot/rev"] = rev_rot(
-                    "rot/rev", low_watermark=t.rot_low, high_watermark=t.rot_high
-                )
 
         # One wake event shared by every pool: any demand pulse (a
         # reserve dipping below the low watermark, a blocked take)
@@ -314,6 +262,43 @@ class CorrelationService:
         self.metrics.add_collector("reconnect", self._collect_reconnect)
         self.metrics.add_collector("draws", self.session_draw_counts)
 
+        self.pools: dict = {}
+        cot_marks = dict(low_watermark=cot_low, high_watermark=cot_high)
+        for kind, ep in ((COT_FWD, self.ferret_fwd), (COT_REV, self.ferret_rev)):
+            if ep is not None:
+                self._add_pool(
+                    SenderCotPool(kind, ep.delta, **cot_marks)
+                    if isinstance(ep, FerretSender)
+                    else ReceiverCotPool(kind, **cot_marks)
+                )
+        if t.enable_triples:
+            if not t.enable_reverse:
+                raise ServiceError("triple production needs the reverse direction")
+            self._add_pool(
+                TriplePool("tri", low_watermark=t.triple_low, high_watermark=t.triple_high)
+            )
+        enable_rtri = (
+            t.enable_ring_triples
+            if t.enable_ring_triples is not None
+            else t.enable_reverse
+        )
+        if enable_rtri:
+            if not t.enable_reverse:
+                raise ServiceError("ring-triple production needs the reverse direction")
+            self._add_pool(
+                RingTriplePool(
+                    "rtri", t.ring_bits,
+                    low_watermark=t.rtri_low, high_watermark=t.rtri_high,
+                )
+            )
+        if t.enable_rots:
+            for kind, ep in (("rot/fwd", self.ferret_fwd), ("rot/rev", self.ferret_rev)):
+                if ep is not None:
+                    rot = RotSenderPool if isinstance(ep, FerretSender) else RotReceiverPool
+                    self._add_pool(
+                        rot(kind, low_watermark=t.rot_low, high_watermark=t.rot_high)
+                    )
+
         # Process-sharded raw-COT production (repro.runtime.shard):
         # shards=1 constructs none of the machinery, keeping the
         # single-worker stream byte-identical.
@@ -321,11 +306,6 @@ class CorrelationService:
         if t.shards > 1:
             self._shard_mgr = ShardManager(self, t.shards, seed=seed)
             self.metrics.add_collector("shard", self._shard_mgr.collect)
-
-        for pool in self.pools.values():
-            pool.refill = self._wake
-            pool.failure_probe = self._pool_probe
-            pool.stall_observer = self._observe_stall
 
         self._alloc_lock = threading.Lock()
         #: Leader-side per-kind totals of consumer (session) draws --
@@ -611,6 +591,16 @@ class CorrelationService:
             self.session_draws[kind] = self.session_draws.get(kind, 0) + n
             return self.pools[kind].reserve(n)
 
+    def _add_pool(self, pool):
+        """Register ``pool`` and wire the service's hooks into it (the
+        caller holds the allocation lock once the worker may run)."""
+        pool.refill = self._wake
+        pool.failure_probe = self._pool_probe
+        pool.stall_observer = self._observe_stall
+        pool.tracer = self.tracer
+        self.pools[pool.name] = pool
+        return pool
+
     def matrix_pool(self, m: int, k: int, n: int) -> MatrixTriplePool:
         """The shape-keyed matrix-triple pool for (m, k, n), creating it
         on first use.  Creation is local and idempotent, so sessions and
@@ -618,18 +608,12 @@ class CorrelationService:
         without any cross-party coordination."""
         key = MatrixTriplePool.key_for(m, k, n)
         with self._alloc_lock:
-            pool = self.pools.get(key)
-            if pool is None:
-                pool = MatrixTriplePool(
+            return self.pools.get(key) or self._add_pool(
+                MatrixTriplePool(
                     key, m, k, n, self.tuning.ring_bits,
                     low_watermark=0, high_watermark=0,
                 )
-                pool.refill = self._wake
-                pool.failure_probe = self._pool_probe
-                pool.stall_observer = self._observe_stall
-                pool.tracer = self.tracer
-                self.pools[key] = pool
-            return pool
+            )
 
     def trunc_pool(self, frac_bits: int) -> TruncPairPool:
         """The frac-keyed truncation-pair pool, creating it on first
@@ -640,18 +624,12 @@ class CorrelationService:
             raise ServiceError("truncation pairs need bit-triple production")
         key = TruncPairPool.key_for(frac_bits)
         with self._alloc_lock:
-            pool = self.pools.get(key)
-            if pool is None:
-                pool = TruncPairPool(
+            return self.pools.get(key) or self._add_pool(
+                TruncPairPool(
                     key, self.tuning.ring_bits, frac_bits,
                     low_watermark=0, high_watermark=0,
                 )
-                pool.refill = self._wake
-                pool.failure_probe = self._pool_probe
-                pool.stall_observer = self._observe_stall
-                pool.tracer = self.tracer
-                self.pools[key] = pool
-            return pool
+            )
 
     def session(self, name: str) -> "ServiceSession":
         """A consumer session speaking over the ``sess/<name>`` sub-channel."""
@@ -781,7 +759,7 @@ class CorrelationService:
                     # the leader loop died on an exception -- so its
                     # consumers fail fast instead of polling forever.
                     try:
-                        self._ctl.send_bytes(_CTL.pack(OP_STOP, 0, 0, 0))
+                        self._ctl.send_bytes(encode_frame((OP_STOP, 0, 0, 0)))
                     except Exception:  # noqa: BLE001 - link may be gone
                         pass
             else:
@@ -832,7 +810,7 @@ class CorrelationService:
                 self._wake.clear()
                 continue
             try:
-                self._ctl.send_bytes(self._encode(cmd))
+                self._ctl.send_bytes(encode_frame(cmd))
                 self._execute(cmd)
             except _TRANSIENT as exc:
                 # The command's retry budget (sliced receives over a
@@ -858,7 +836,7 @@ class CorrelationService:
                 continue
             if op in (OP_SYNC_ACK, OP_NACK):
                 continue  # stale resync chatter; barriers are leader-driven
-            cmd = self._decode(frame)
+            cmd = decode_frame(frame)
             if self.degraded_since is not None:
                 # Commands issued before the leader noticed our failure:
                 # keep pool consumption aligned without running the
@@ -1015,34 +993,15 @@ class CorrelationService:
         appended output).  Inputs not yet produced locally are left to
         the resync rollback, which erases the leader's view of them.
         """
-        op = cmd[0]
-        takes = []  # (pool kind, lo, n)
-        if op in (OP_ROT_FWD, OP_ROT_REV):
-            direction = "fwd" if op == OP_ROT_FWD else "rev"
-            _, n, lo, _ = cmd
-            if self.pools[f"cot/{direction}"].produced >= lo + n:
-                self._produce_rots(direction, n, lo)
+        if cmd[0] in _EXTEND_DIR:
+            return  # extends consume no pool inputs: nothing to align
+        job = parse_command(cmd, self.tuning.ring_bits)
+        if job.recipe.local:
+            if all(self.pools[kind].produced >= lo + n for kind, lo, n in job.takes):
+                self._produce(job)
             return
-        if op == OP_TRIPLES:
-            _, n, lo_f, lo_r = cmd
-            takes = [("cot/fwd", lo_f, n), ("cot/rev", lo_r, n)]
-        elif op == OP_RING_TRIPLES:
-            _, n, lo_f, lo_r = cmd
-            bits = self.tuning.ring_bits
-            takes = [("cot/fwd", lo_f, n * bits), ("cot/rev", lo_r, n * bits)]
-        elif op == OP_MATRIX_TRIPLE:
-            _, m, k, n, direction, lo = cmd
-            pool = self.matrix_pool(m, k, n)
-            takes = [("cot/rev" if direction else "cot/fwd", lo, pool.cots_per_item)]
-        elif op == OP_TRUNC_PAIRS:
-            _, n, frac, lo_c, lo_t = cmd
-            pool = self.trunc_pool(frac)
-            takes = [
-                ("cot/fwd", lo_c, n * pool.cots_per_item),
-                ("tri", lo_t, n * pool.triples_per_item),
-            ]
-        # Extends consume no pool inputs: nothing to align.
-        for kind, lo, n in takes:
+        self._output(job)  # a keyed output pool exists on both sides
+        for kind, lo, n in job.takes:
             if n > 0 and self.pools[kind].produced >= lo + n:
                 self.pools[kind].take_columns(lo, n)
 
@@ -1082,24 +1041,8 @@ class CorrelationService:
             ep._spcot_pool._cursor = snap["spcot_cursor"]
         ep.iterations = snap["iterations"]
 
-    @staticmethod
-    def _encode(cmd: tuple) -> bytes:
-        if cmd[0] == OP_MATRIX_TRIPLE:
-            return _CTL_MTRI.pack(*cmd)
-        if cmd[0] == OP_TRUNC_PAIRS:
-            return _CTL_TPRC.pack(*cmd)
-        return _CTL.pack(*cmd)
-
-    @staticmethod
-    def _decode(frame: bytes) -> tuple:
-        if frame[:4] == OP_MATRIX_TRIPLE:
-            return _CTL_MTRI.unpack(frame)
-        if frame[:4] == OP_TRUNC_PAIRS:
-            return _CTL_TPRC.unpack(frame)
-        return _CTL.unpack(frame)
-
-    def _starved(self, op):
-        """A derived producer is starved on raw COTs.
+    def _starved(self, kind: str):
+        """Derived production is starved on raw COT pool ``kind``.
 
         Unsharded, the extend itself becomes the next command.  Sharded,
         extends are not commands: nudge the shard fleet to keep at least
@@ -1107,169 +1050,71 @@ class CorrelationService:
         the loop sleeps on ``_wake`` until the merger lands a batch.
         """
         if self._shard_mgr is None:
-            return (op, 0, 0, 0)
-        self._shard_mgr.request_extend("rev" if op == OP_EXTEND_REV else "fwd")
+            return (EXTEND[kind], 0, 0, 0)
+        self._shard_mgr.request_extend(kind[4:])
         return None
 
     def _decide(self):
         """Leader scheduling: pick the next production command, if any.
 
         Extends come first (they are the only source of raw COTs), then
-        derived production over ranges that are *already produced*, so
+        one recipe per derived pool in table order -- keyed pools in
+        creation order -- over ranges that are *already produced*, so
         the worker never deadlocks on its own output.
 
         In sharded mode extends never become commands: raw-COT deficits
         are dispatched to the shard workers instead, and derived
         production waits for the merged pools to fill.
         """
-        t = self.tuning
         pools = self.pools
         if self._shard_mgr is not None:
             self._shard_mgr.request_refills()
         else:
-            if pools["cot/fwd"].needs_refill():
-                return (OP_EXTEND_FWD, 0, 0, 0)
-            if t.enable_reverse and pools["cot/rev"].needs_refill():
-                return (OP_EXTEND_REV, 0, 0, 0)
+            for kind, op in EXTEND.items():
+                if kind in pools and pools[kind].needs_refill():
+                    return (op, 0, 0, 0)
         with self._alloc_lock:
-            if t.enable_triples and pools["tri"].needs_refill():
-                want = min(pools["tri"].deficit, t.triple_chunk)
-                avail = min(pools["cot/fwd"].level, pools["cot/rev"].level)
-                if avail <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                want = min(want, avail)
-                lo_f = pools["cot/fwd"].try_reserve_produced(want)
-                lo_r = pools["cot/rev"].try_reserve_produced(want)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_TRIPLES, want, lo_f, lo_r)
-            if self._enable_rtri and pools["rtri"].needs_refill():
-                bits = t.ring_bits
-                want = min(
-                    pools["rtri"].deficit,
-                    t.rtri_chunk,
-                    pools["cot/fwd"].level // bits,
-                    pools["cot/rev"].level // bits,
-                )
-                if want <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                lo_f = pools["cot/fwd"].try_reserve_produced(want * bits)
-                lo_r = pools["cot/rev"].try_reserve_produced(want * bits)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_RING_TRIPLES, want, lo_f, lo_r)
-            mtri_cmd = self._decide_matrix()
-            if mtri_cmd is not None:
-                return mtri_cmd
-            tprc_cmd = self._decide_trunc()
-            if tprc_cmd is not None:
-                return tprc_cmd
-            if t.enable_rots and pools["rot/fwd"].needs_refill():
-                want = min(
-                    pools["rot/fwd"].deficit, t.rot_chunk, pools["cot/fwd"].level
-                )
-                if want <= 0:
-                    return self._starved(OP_EXTEND_FWD)
-                lo = pools["cot/fwd"].try_reserve_produced(want)
-                if lo is None:  # pragma: no cover - racing
-                    return None
-                return (OP_ROT_FWD, want, lo, 0)
-            if t.enable_rots and t.enable_reverse and pools["rot/rev"].needs_refill():
-                want = min(
-                    pools["rot/rev"].deficit, t.rot_chunk, pools["cot/rev"].level
-                )
-                if want <= 0:
-                    return self._starved(OP_EXTEND_REV)
-                lo = pools["cot/rev"].try_reserve_produced(want)
-                if lo is None:  # pragma: no cover - racing
-                    return None
-                return (OP_ROT_REV, want, lo, 0)
+            for recipe in RECIPES:
+                for kind, pool in list(pools.items()):
+                    if recipe.fills(kind) and pool.needs_refill():
+                        return self._schedule(recipe, pool, pool.deficit)
         return None
 
-    def _decide_matrix(self):
-        """Matrix-triple scheduling (caller holds the allocation lock).
+    def _schedule(self, recipe, pool, deficit: int):
+        """One ``recipe`` command toward ``deficit`` more items of
+        ``pool`` (caller holds the allocation lock).
 
-        A triple consumes its whole COT demand from ONE direction --
-        whichever has more stock -- because the Gilboa sender role for
-        both cross terms belongs to that direction's COT sender.
+        A batch makes ``min(deficit, cap, level_i // need_i)`` items.
+        When an input is short the scheduler starves on it instead: a
+        raw-COT pool (the emptier one when both directions are short)
+        becomes an extend; a derived pool -- the bit triples truncation
+        pairs eat -- runs its own recipe for what the capped batch
+        lacks.  An :data:`EITHER` input draws from the direction with
+        more stock, the Gilboa sender role of both matrix cross terms
+        belonging to that direction's COT sender.
         """
-        t = self.tuning
         pools = self.pools
-        for pool in list(pools.values()):
-            if not isinstance(pool, MatrixTriplePool) or not pool.needs_refill():
-                continue
-            needed = pool.cots_per_item
-            if t.enable_reverse and pools["cot/rev"].level > pools["cot/fwd"].level:
-                direction, src = 1, pools["cot/rev"]
-            else:
-                direction, src = 0, pools["cot/fwd"]
-            if src.level < needed:
-                return self._starved(OP_EXTEND_REV if direction else OP_EXTEND_FWD)
-            lo = src.try_reserve_produced(needed)
-            if lo is None:  # pragma: no cover - racing
+        direction = int(COT_REV in pools and pools[COT_REV].level > pools[COT_FWD].level)
+        inputs = [
+            (resolve(kind, direction), need)
+            for kind, need in recipe.inputs(pool.key_args, self.tuning.ring_bits)
+        ]
+        cap = recipe.cap(self.tuning)
+        want = min([deficit, cap] + [pools[kind].level // need for kind, need in inputs])
+        if want <= 0:
+            short = [(kind, need) for kind, need in inputs if pools[kind].level < need]
+            raw = [kind for kind, _ in short if kind in EXTEND]
+            if raw:
+                return self._starved(min(raw, key=lambda kind: pools[kind].level))
+            if not short:
                 return None
-            return (OP_MATRIX_TRIPLE, pool.m, pool.k, pool.n, direction, lo)
-        return None
-
-    def _decide_trunc(self):
-        """Truncation-pair scheduling (caller holds the allocation lock).
-
-        Pair generation is derived-of-derived production: it consumes
-        forward COTs *and* pooled bit triples.  When triple stock is the
-        bottleneck the leader schedules a triple batch first, so the
-        worker never waits on its own output.  Deep deficits fuse up to
-        ``tprc_batch_chunks`` chunks into ONE command when stock allows,
-        so pair production pays the millionaires'/B2A opening rounds
-        once per fused batch instead of once per chunk.
-        """
-        t = self.tuning
-        pools = self.pools
-        batch_cap = t.tprc_chunk * max(1, t.tprc_batch_chunks)
-        for pool in list(pools.values()):
-            if not isinstance(pool, TruncPairPool) or not pool.needs_refill():
-                continue
-            want = min(pool.deficit, batch_cap)
-            want = min(
-                want,
-                pools["cot/fwd"].level // pool.cots_per_item,
-                pools["tri"].level // pool.triples_per_item,
-            )
-            if want <= 0:
-                if pools["cot/fwd"].level < pool.cots_per_item:
-                    return self._starved(OP_EXTEND_FWD)
-                # Starved on bit triples: run one triple batch.
-                need = min(pool.deficit, batch_cap) * pool.triples_per_item
-                n = min(t.triple_chunk, max(need - pools["tri"].level, 1))
-                avail = min(pools["cot/fwd"].level, pools["cot/rev"].level)
-                if avail <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                n = min(n, avail)
-                lo_f = pools["cot/fwd"].try_reserve_produced(n)
-                lo_r = pools["cot/rev"].try_reserve_produced(n)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_TRIPLES, n, lo_f, lo_r)
-            lo_c = pools["cot/fwd"].try_reserve_produced(want * pool.cots_per_item)
-            lo_t = pools["tri"].try_reserve_produced(want * pool.triples_per_item)
-            if lo_c is None or lo_t is None:  # pragma: no cover - racing
-                return None
-            return (OP_TRUNC_PAIRS, want, pool.frac_bits, lo_c, lo_t)
-        return None
+            kind, need = short[0]
+            lacking = max(min(deficit, cap) * need - pools[kind].level, 1)
+            return self._schedule(recipe_for(kind), pools[kind], lacking)
+        offsets = [pools[kind].try_reserve_produced(want * need) for kind, need in inputs]
+        if None in offsets:  # pragma: no cover - racing
+            return None
+        return recipe.command(want, pool.key_args, direction, offsets)
 
     def _execute(self, cmd) -> None:
         tr = self.tracer
@@ -1280,30 +1125,12 @@ class CorrelationService:
             return self._execute_cmd(cmd)
 
     def _execute_cmd(self, cmd) -> None:
-        op = cmd[0]
-        if op == OP_MATRIX_TRIPLE:
-            self._produce_matrix_triple(*cmd[1:])
-            return
-        if op == OP_TRUNC_PAIRS:
-            self._produce_trunc_pairs(*cmd[1:])
-            return
-        _, n, lo_a, lo_b = cmd
-        if op == OP_EXTEND_FWD:
-            self._run_extend("fwd", self.ferret_fwd, self._ch_fwd)
-        elif op == OP_EXTEND_REV:
-            self._run_extend("rev", self.ferret_rev, self._ch_rev)
-        elif op == OP_TRIPLES:
-            self._produce_triples(n, lo_a, lo_b)
-        elif op == OP_RING_TRIPLES:
-            self._produce_ring_triples(n, lo_a, lo_b)
-        elif op == OP_ROT_FWD:
-            self._produce_rots("fwd", n, lo_a)
-        elif op == OP_ROT_REV:
-            self._produce_rots("rev", n, lo_a)
+        if cmd[0] in _EXTEND_DIR:
+            self._run_extend(_EXTEND_DIR[cmd[0]])
         else:
-            raise ServiceError(f"unknown provisioning opcode {op!r}")
+            self._produce(parse_command(cmd, self.tuning.ring_bits))
 
-    def _run_extend(self, direction: str, endpoint, channel) -> None:
+    def _run_extend(self, direction: str) -> None:
         """One extend, snapshot-protected for abandon/rollback.
 
         Extend mutates endpoint state mid-protocol (rng draws, SPCOT
@@ -1313,10 +1140,11 @@ class CorrelationService:
         can undo it if the peer's half never finished.
         """
         pool = self.pools[f"cot/{direction}"]
+        channel = self._ch_fwd if direction == "fwd" else self._ch_rev
         snap = self._ferret_snapshot(direction)
         produced_before = pool.produced
         try:
-            batch = endpoint.extend(channel)
+            batch = self._endpoint(direction).extend(channel)
         except _TRANSIENT:
             self._ferret_restore(direction, snap)
             raise
@@ -1324,25 +1152,36 @@ class CorrelationService:
         self._last_extend[direction] = (snap, produced_before)
         self.extends[direction] += 1
 
-    def _produce_triples(self, n: int, lo_fwd: int, lo_rev: int) -> None:
+    # -- derived production: one producer per recipe ------------------------
+    def _output(self, job):
+        """The pool ``job`` fills (a keyed pool is created on first use)."""
+        recipe = job.recipe
+        if recipe.family:
+            return getattr(self, recipe.family)(*job.key)
+        return self.pools[recipe.output]
+
+    def _produce(self, job) -> None:
+        """Run ``job``'s producer on its output pool and its input ranges
+        (each taken at the size its recipe charges)."""
+        inputs = [self.pools[kind].take_batch(lo, n) for kind, lo, n in job.takes]
+        getattr(self, job.recipe.produce)(self._output(job), job, *inputs)
+
+    def _produce_triples(self, pool, job, fwd, rev) -> None:
         """Both workers run one triple-generation batch in lockstep."""
-        fwd = self.pools["cot/fwd"].take_batch(lo_fwd, n)
-        rev = self.pools["cot/rev"].take_batch(lo_rev, n)
+        lo_fwd, _ = job.offsets
         if self.party == 0:
             send_pool, recv_pool = CotPool(sender=fwd), CotPool(receiver=rev)
         else:
             send_pool, recv_pool = CotPool(sender=rev), CotPool(receiver=fwd)
         triples = generate_bit_triples(
-            self._ch_tri, n, send_pool, recv_pool, self._rng,
+            self._ch_tri, job.n, send_pool, recv_pool, self._rng,
             party=self.party, tweak_base=lo_fwd,
         )
-        self.pools["tri"].append_columns((triples.a, triples.b, triples.c))
+        pool.append_columns((triples.a, triples.b, triples.c))
 
-    def _produce_ring_triples(self, n: int, lo_fwd: int, lo_rev: int) -> None:
+    def _produce_ring_triples(self, pool, job, fwd, rev) -> None:
         """Lockstep Gilboa ring-triple batch over both COT directions."""
-        bits = self.tuning.ring_bits
-        fwd = self.pools["cot/fwd"].take_batch(lo_fwd, n * bits)
-        rev = self.pools["cot/rev"].take_batch(lo_rev, n * bits)
+        lo_fwd, lo_rev = job.offsets
         if self.party == 0:
             send_pool, recv_pool = CotPool(sender=fwd), CotPool(receiver=rev)
             send_tweak, recv_tweak = lo_fwd, lo_rev
@@ -1350,63 +1189,55 @@ class CorrelationService:
             send_pool, recv_pool = CotPool(sender=rev), CotPool(receiver=fwd)
             send_tweak, recv_tweak = lo_rev, lo_fwd
         triples = generate_ring_triples(
-            self._ch_rtri, n, bits, send_pool, recv_pool, self._rng,
+            self._ch_rtri, job.n, pool.bits, send_pool, recv_pool, self._rng,
             party=self.party, send_tweak_base=send_tweak, recv_tweak_base=recv_tweak,
         )
-        self.pools["rtri"].append_columns((triples.a, triples.b, triples.c))
+        pool.append_columns((triples.a, triples.b, triples.c))
 
-    def _produce_matrix_triple(
-        self, m: int, k: int, n: int, direction: int, lo: int
-    ) -> None:
+    def _produce_matrix_triple(self, pool, job, batch) -> None:
         """Generate one (m,k,n) matrix triple from one direction's COTs.
 
-        ``direction`` 0 draws from cot/fwd (party 0 is the Ferret -- and
-        therefore Gilboa -- sender), 1 from cot/rev (party 1 sends):
+        ``job.direction`` 0 draws from cot/fwd (party 0 is the Ferret --
+        and therefore Gilboa -- sender), 1 from cot/rev (party 1 sends):
         both Fig 16 role directions are live code paths picked by stock.
         """
-        pool = self.matrix_pool(m, k, n)
-        batch = self.pools["cot/rev" if direction else "cot/fwd"].take_batch(
-            lo, pool.cots_per_item
-        )
-        if (self.party == 0) == (direction == 0):
+        (lo,) = job.offsets
+        if (self.party == 0) == (job.direction == 0):
             cot_pool = CotPool(sender=batch)
         else:
             cot_pool = CotPool(receiver=batch)
         triple = generate_matrix_triples(
-            self._ch_mtri, MatmulDims(m, k, n), pool.bits, cot_pool, self._rng,
-            party=self.party, ot_sender=direction, tweak_base=lo,
+            self._ch_mtri, MatmulDims(*job.key), pool.bits, cot_pool, self._rng,
+            party=self.party, ot_sender=job.direction, tweak_base=lo,
         )
         pool.append_triple(triple)
 
-    def _produce_trunc_pairs(self, n: int, frac: int, lo_cot: int, lo_tri: int) -> None:
+    def _produce_trunc_pairs(self, pool, job, batch, triples) -> None:
         """Lockstep truncation-pair batch: forward COTs + pooled triples.
 
         Party 0 is the millionaires'/Gilboa OT sender (the forward COT
         direction), mirroring the online wrap-fixed protocol's roles.
         """
-        pool = self.trunc_pool(frac)
-        batch = self.pools["cot/fwd"].take_batch(lo_cot, n * pool.cots_per_item)
+        lo_cot, _ = job.offsets
         if self.party == 0:
             cot_pool = CotPool(sender=batch)
         else:
             cot_pool = CotPool(receiver=batch)
-        triples = self.pools["tri"].take_triples(lo_tri, n * pool.triples_per_item)
         pairs = generate_trunc_pairs(
-            self._ch_tprc, n, pool.bits, frac, cot_pool, triples, self._rng,
-            party=self.party, tweak_base=lo_cot,
+            self._ch_tprc, job.n, pool.bits, pool.frac_bits, cot_pool, triples,
+            self._rng, party=self.party, tweak_base=lo_cot,
         )
         pool.append_columns((pairs.r, pairs.s))
 
-    def _produce_rots(self, direction: str, n: int, lo: int) -> None:
+    def _produce_rots(self, pool, job, batch) -> None:
         """Figure 2 conversion of pooled COTs into random OTs (local)."""
-        batch = self.pools[f"cot/{direction}"].take_batch(lo, n)
-        am_sender = (self.party == 0) == (direction == "fwd")
-        if am_sender:
+        ((kind, lo, _),) = job.takes
+        if (self.party == 0) == (kind == COT_FWD):
             m0, m1 = cot_to_random_ot_sender(batch, tweak_base=lo)
-            self.pools[f"rot/{direction}"].append_columns((m0, m1))
+            pool.append_columns((m0, m1))
         else:
             bits, chosen = cot_to_random_ot_receiver(batch, tweak_base=lo)
-            self.pools[f"rot/{direction}"].append_columns((bits, chosen))
+            pool.append_columns((bits, chosen))
 
 
 class ServiceSession:

@@ -25,8 +25,9 @@ except ImportError:  # pragma: no cover - fuzz suite skips without it
 
 from repro.crypto import blocks
 from repro.ot.base_ot import base_cot_receive, base_cot_send
-from repro.ot.channel import run_pair
+from repro.ot.channel import LocalChannel, run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
+from repro.runtime import CorrelationService, MuxChannel
 
 
 @pytest.fixture
@@ -62,3 +63,21 @@ def cot_pools(shared_cots, delta):
         CotPool(sender=CotSenderBatch(delta, s_batch.z.copy())),
         CotPool(receiver=CotReceiverBatch(r_batch.x.copy(), r_batch.y.copy())),
     )
+
+
+def _start_service_pair(config, tuning, seed: int, timeout: float) -> tuple:
+    base_a, base_b = LocalChannel.pair(timeout=timeout)
+    mux0 = MuxChannel(base_a, timeout=timeout)
+    mux1 = MuxChannel(base_b, timeout=timeout)
+    svc0 = CorrelationService(0, mux0, config, tuning, seed=seed).start()
+    svc1 = CorrelationService(1, mux1, config, tuning, seed=seed).start()
+    return svc0, svc1, mux0, mux1
+
+
+@pytest.fixture(scope="session")
+def start_service_pair():
+    """``start_service_pair(config, tuning, seed, timeout)`` starts a
+    party-0/party-1 CorrelationService pair over one in-memory mux link
+    (both the link and the muxes use ``timeout``) and returns
+    ``(svc0, svc1, mux0, mux1)``; the caller stops and closes them."""
+    return _start_service_pair

@@ -1,79 +1,10 @@
-"""Optional compiled kernels: dispatch transparency and oracles.
-
-``repro.crypto.kernels`` must be value-transparent -- bit-identical to
-the numpy oracles whether or not numba is importable -- and the
-ChaChaTreePrg state-template cache (the hoisted key schedule) must not
-change a single expanded block.
-"""
+"""The ChaChaTreePrg state-template cache (the hoisted key schedule)
+must not change a single expanded block."""
 
 import numpy as np
-import pytest
 
-from repro.crypto import kernels
-from repro.crypto.chacha import chacha_core as chacha_oracle
 from repro.crypto.prg import ChaChaTreePrg, make_tree_prg
 from repro.crypto import blocks
-
-
-def random_states(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << 32, (n, 16), dtype=np.uint64).astype(np.uint32)
-
-
-class TestChaChaDispatch:
-    @pytest.mark.parametrize("n", [1, 8, kernels.NUMBA_MIN_ROWS + 5])
-    def test_matches_numpy_oracle(self, n):
-        initial = random_states(n, seed=n)
-        got = kernels.chacha_core(initial, 8)
-        assert np.array_equal(got, chacha_oracle(initial, 8))
-
-    def test_small_batches_never_use_numba(self, monkeypatch):
-        # Below NUMBA_MIN_ROWS the dispatcher must not touch the JIT --
-        # poison it and check the numpy path still serves.
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-        monkeypatch.setattr(kernels, "_chacha_rows", None, raising=False)
-        initial = random_states(16, seed=1)
-        got = kernels.chacha_core(initial, 8)
-        assert np.array_equal(got, chacha_oracle(initial, 8))
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_numba_bit_exact_at_scale(self):
-        initial = random_states(kernels.NUMBA_MIN_ROWS * 2, seed=7)
-        for rounds in (8, 12, 20):
-            got = kernels.chacha_core(initial, rounds)
-            assert np.array_equal(got, chacha_oracle(initial, rounds))
-
-
-class TestGatherXorDispatch:
-    def _case(self, rows, seed):
-        rng = np.random.default_rng(seed)
-        k = 64
-        indices = rng.integers(0, k, (rows, 4), dtype=np.int64)
-        vec = blocks.random_blocks(k, rng)
-        addend = blocks.random_blocks(rows, rng)
-        return indices, vec, addend
-
-    def oracle(self, indices, vec, addend):
-        out = addend.copy()
-        for t in range(indices.shape[1]):
-            out ^= vec[indices[:, t]]
-        return out
-
-    def test_none_signals_numpy_fallback_for_small_batches(self):
-        indices, vec, addend = self._case(8, seed=2)
-        assert kernels.gather_xor_blocks(indices, vec, addend) is None
-
-    @pytest.mark.skipif(kernels.HAVE_NUMBA, reason="covers the no-numba path")
-    def test_none_without_numba_at_any_size(self):
-        indices, vec, addend = self._case(kernels.NUMBA_MIN_ROWS * 2, seed=3)
-        assert kernels.gather_xor_blocks(indices, vec, addend) is None
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_numba_bit_exact_at_scale(self):
-        indices, vec, addend = self._case(kernels.NUMBA_MIN_ROWS * 2, seed=4)
-        got = kernels.gather_xor_blocks(indices, vec, addend)
-        assert got is not None
-        assert np.array_equal(got, self.oracle(indices, vec, addend))
 
 
 class TestChaChaTemplateCache:

@@ -24,6 +24,7 @@ from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph, trunc_demand
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime.recipes import recipe_for
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
@@ -209,10 +210,11 @@ class TestTruncPairPool:
         svc0, svc1, mux0, mux1 = services
         n = 11
         pool = svc0.trunc_pool(FX.frac_bits)
+        per_item = dict(recipe_for(pool.name).inputs(pool.key_args, pool.bits))
         svc1.trunc_pool(FX.frac_bits)
         stock = {
-            "cot/fwd": n * pool.cots_per_item + 512,
-            "tri": n * pool.triples_per_item + 256,
+            "cot/fwd": n * per_item["cot/fwd"] + 512,
+            "tri": n * per_item["tri"] + 256,
         }
         ctx = (svc0.error, svc1.error)
         run_both(lambda: svc0.prefill(stock, 240.0),

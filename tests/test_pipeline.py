@@ -15,11 +15,12 @@ from repro.mpc.truncation import (
     FixedPointConfig,
     trunc_preproc_messages,
 )
-from repro.ot.channel import LocalChannel, run_concurrently
+from repro.ot.channel import run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import ServiceTuning
 from repro.runtime.pool import TriplePool
+from repro.runtime.recipes import recipe_for
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
@@ -45,18 +46,9 @@ def run_both(fn0, fn1, timeout=300.0, ctx=()):
         pytest.fail(f"{exc!r} (svc errors: {ctx})")
 
 
-def start_service_pair(tuning=TUNING, seed=0x1CE):
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, CFG, tuning, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, CFG, tuning, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
 @pytest.fixture(scope="module")
-def services():
-    svc0, svc1, mux0, mux1 = start_service_pair()
+def services(start_service_pair):
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x1CE, timeout=180.0)
     yield svc0, svc1, mux0, mux1
     svc0.stop(), svc1.stop()
     mux0.close(), mux1.close()
@@ -259,7 +251,7 @@ class TestPipelinedPrefill:
 
 
 class TestForwardOnlyPipeline:
-    def test_linear_plan_on_forward_only_service(self):
+    def test_linear_plan_on_forward_only_service(self, start_service_pair):
         """A forward-only service (no cot/rev pool) must still pipeline
         a linear-layer plan: the internal matrix-triple margin charged
         to the missing reverse direction is simply dropped (production
@@ -269,7 +261,7 @@ class TestForwardOnlyPipeline:
             enable_reverse=False, enable_triples=False,
             enable_ring_triples=False, enable_rots=False,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1F0)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1F0, timeout=180.0)
         try:
             g = Graph("FwdOnly", (3, 5))
             g.add(Linear(4))
@@ -390,7 +382,7 @@ class TestFusedMatmulRescale:
 
 
 class TestBatchedTprcProduction:
-    def test_deep_deficit_fused_into_one_command(self):
+    def test_deep_deficit_fused_into_one_command(self, start_service_pair):
         """16 pairs with a 4-pair chunk and stocked inputs run as ONE
         TPRC command (4 chunks fused), paying the millionaires'/B2A
         message rounds once instead of four times."""
@@ -400,14 +392,15 @@ class TestBatchedTprcProduction:
             tprc_chunk=4, tprc_batch_chunks=4,
             enable_rots=False,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x7A7)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x7A7, timeout=180.0)
         try:
             n = 16
             pool = svc0.trunc_pool(FX.frac_bits)
+            per_item = dict(recipe_for(pool.name).inputs(pool.key_args, pool.bits))
             svc1.trunc_pool(FX.frac_bits)
             stock = {
-                "cot/fwd": n * pool.cots_per_item + 512,
-                "tri": n * pool.triples_per_item + 64,
+                "cot/fwd": n * per_item["cot/fwd"] + 512,
+                "tri": n * per_item["tri"] + 64,
             }
             ctx = (svc0.error, svc1.error)
             run_both(lambda: svc0.prefill(stock, 240.0),

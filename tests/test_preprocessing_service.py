@@ -26,15 +26,6 @@ TUNING = ServiceTuning(
 MASK = ring_mask_u64(BITS)
 
 
-def start_service_pair(seed=0x77):
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, CFG, TUNING, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, CFG, TUNING, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
 def run_both(fn0, fn1, timeout=300.0, ctx=()):
     """Both parties in lockstep, decorating failures with service errors."""
     try:
@@ -56,8 +47,8 @@ def share_matrix(values, gen):
 
 
 @pytest.fixture(scope="module")
-def services():
-    svc0, svc1, mux0, mux1 = start_service_pair()
+def services(start_service_pair):
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x77, timeout=180.0)
     yield svc0, svc1
     svc0.stop(), svc1.stop()
     mux0.close(), mux1.close()

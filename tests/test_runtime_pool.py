@@ -18,6 +18,7 @@ from repro.runtime.pool import (
     SenderCotPool,
     TriplePool,
 )
+from repro.runtime.recipes import EITHER, recipe_for
 
 
 def make_cot_arrays(n, seed=1):
@@ -285,7 +286,8 @@ class TestTypedPools:
         pool = MatrixTriplePool("mtri/3x5x4", 3, 5, 4, bits=32,
                                 low_watermark=0, high_watermark=0)
         assert pool.name == MatrixTriplePool.key_for(3, 5, 4)
-        assert pool.cots_per_item == (3 * 5 + 5 * 4) * 32
+        per_item = recipe_for(pool.name).inputs(pool.key_args, pool.bits)
+        assert per_item == ((EITHER, (3 * 5 + 5 * 4) * 32),)
         pool.append_triple(t0)
         lo = pool.reserve(1)
         got = pool.take_triple(lo)

@@ -26,14 +26,6 @@ TUNING = ServiceTuning(
 BITS = 10
 
 
-def start_service_pair(tuning=TUNING, cfg=CFG, seed=0x51C):
-    base_a, base_b = LocalChannel.pair(timeout=120.0)
-    mux0, mux1 = MuxChannel(base_a, timeout=120.0), MuxChannel(base_b, timeout=120.0)
-    svc0 = CorrelationService(0, mux0, cfg, tuning, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, cfg, tuning, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
 def run_sessions(svc0, svc1, jobs, timeout=180.0):
     """jobs: list of (name, fn(session, party)); returns {(party, name): out}."""
     results, errors = {}, []
@@ -67,9 +59,9 @@ def run_sessions(svc0, svc1, jobs, timeout=180.0):
 
 
 @pytest.fixture(scope="module")
-def service_run():
+def service_run(start_service_pair):
     """One shared service pair driving 5 concurrent mixed sessions."""
-    svc0, svc1, mux0, mux1 = start_service_pair()
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x51C, timeout=120.0)
     rng = np.random.default_rng(0xAB)
     vals_a = rng.integers(-400, 400, 12)
     vals_b = rng.integers(-400, 400, 12)
@@ -193,9 +185,9 @@ class TestConcurrentSessions:
 
 
 class TestServiceLifecycle:
-    def test_random_ot_pools(self):
+    def test_random_ot_pools(self, start_service_pair):
         """ROT draws: sender pairs and receiver choices stay consistent."""
-        svc0, svc1, mux0, mux1 = start_service_pair(seed=0xD1)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0xD1, timeout=120.0)
 
         def rot_job(session, party):
             if party == 0:
@@ -210,12 +202,12 @@ class TestServiceLifecycle:
         svc0.stop(), svc1.stop()
         mux0.close(), mux1.close()
 
-    def test_follower_stop_first_is_graceful(self):
+    def test_follower_stop_first_is_graceful(self, start_service_pair):
         """Stopping party 1 before party 0 must not wedge the leader:
         the follower keeps replaying commands until STOP arrives."""
         import time
 
-        svc0, svc1, mux0, mux1 = start_service_pair(seed=0xF0)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0xF0, timeout=120.0)
         svc0.wait_ready(120.0), svc1.wait_ready(120.0)
         done = []
 

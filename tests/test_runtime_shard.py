@@ -34,15 +34,6 @@ CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 SHARDS = 2
 
 
-def start_service_pair(tuning, cfg=CFG, seed=0x5AD0):
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, cfg, tuning, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, cfg, tuning, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
 def run_pair(fn0, fn1, timeout=240.0, ctx=()):
     """Both parties concurrently; a hang surfaces service errors."""
     results, errors = {}, []
@@ -66,13 +57,13 @@ class TestShardedService:
     """One shared 2-shard pair: COTs, triples, telemetry, shutdown."""
 
     @pytest.fixture(scope="class")
-    def services(self):
+    def services(self, start_service_pair):
         tuning = ServiceTuning(
             shards=SHARDS,
             triple_low=64, triple_high=256, triple_chunk=128,
             rot_low=0, rot_high=64,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x5AD0, timeout=180.0)
         svc0.wait_ready(240.0)
         svc1.wait_ready(240.0)
         yield svc0, svc1
@@ -143,8 +134,8 @@ class TestShardsOneIsByteIdentical:
     """``shards=1`` must construct none of the machinery and emit the
     exact stream the default tuning does."""
 
-    def _draw(self, tuning, n, seed):
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=seed)
+    def _draw(self, start_service_pair, tuning, n, seed):
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=seed, timeout=180.0)
         try:
             s, r = run_pair(
                 lambda: svc0.session("id").draw_sender_cots(n)[0],
@@ -156,12 +147,12 @@ class TestShardsOneIsByteIdentical:
             mux0.close(), mux1.close()
         return s, r
 
-    def test_stream_matches_default_tuning(self):
+    def test_stream_matches_default_tuning(self, start_service_pair):
         n = CFG.net_output // 2
         base = ServiceTuning(enable_triples=False, enable_rots=False)
         one = ServiceTuning(shards=1, enable_triples=False, enable_rots=False)
-        s_a, r_a = self._draw(base, n, seed=0xBEE)
-        s_b, r_b = self._draw(one, n, seed=0xBEE)
+        s_a, r_a = self._draw(start_service_pair, base, n, seed=0xBEE)
+        s_b, r_b = self._draw(start_service_pair, one, n, seed=0xBEE)
         assert np.array_equal(s_a.z, s_b.z)
         assert np.array_equal(r_a.x, r_b.x)
         assert np.array_equal(r_a.y, r_b.y)
@@ -371,7 +362,7 @@ class TestShardedPipelinedMlp:
     bit-exact, draws == plan, zero planned-pool stalls."""
 
     @pytest.fixture(scope="class")
-    def planned_run(self):
+    def planned_run(self, start_service_pair):
         tuning = ServiceTuning(
             shards=SHARDS,
             ring_bits=BITS,
@@ -379,7 +370,7 @@ class TestShardedPipelinedMlp:
             rtri_chunk=128,
             enable_rots=False,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1CE)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1CE, timeout=180.0)
         svc0.wait_ready(240.0)
         svc1.wait_ready(240.0)
 

@@ -22,15 +22,6 @@ TUNING = ServiceTuning(
 )
 
 
-def start_service_pair(tuning=TUNING, cfg=CFG, seed=0x0FA):
-    base_a, base_b = LocalChannel.pair(timeout=120.0)
-    mux0 = MuxChannel(base_a, timeout=120.0)
-    mux1 = MuxChannel(base_b, timeout=120.0)
-    svc0 = CorrelationService(0, mux0, cfg, tuning, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, cfg, tuning, seed=seed).start()
-    return svc0, svc1
-
-
 def wait_until(predicate, timeout=30.0, what="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -40,11 +31,11 @@ def wait_until(predicate, timeout=30.0, what="condition"):
     raise AssertionError(f"{what} not reached within {timeout}s")
 
 
-def test_transient_fault_degrades_resyncs_and_recovers():
+def test_transient_fault_degrades_resyncs_and_recovers(start_service_pair):
     """A command whose execution dies transiently on the leader: both
     parties degrade, run the resync barrier, and production resumes --
     later triples still satisfy c = a & b across the parties."""
-    svc0, svc1 = start_service_pair()
+    svc0, svc1, _, _ = start_service_pair(CFG, TUNING, seed=0x0FA, timeout=120.0)
     try:
         svc0.wait_ready()
         svc1.wait_ready()
@@ -185,8 +176,8 @@ def test_follower_stop_fast_path_when_degraded():
     mux1.close()
 
 
-def test_retry_stats_and_resume_state_shapes():
-    svc0, svc1 = start_service_pair(seed=0x0FB)
+def test_retry_stats_and_resume_state_shapes(start_service_pair):
+    svc0, svc1, _, _ = start_service_pair(CFG, TUNING, seed=0x0FB, timeout=120.0)
     try:
         svc0.wait_ready()
         svc1.wait_ready()
